@@ -54,6 +54,27 @@ impl Instance {
         }
     }
 
+    /// Add a whole relation's tuples at once. A relation new to the
+    /// instance gets its set built in bulk (sorted once, then assembled)
+    /// instead of by one ordered insert per tuple; an existing one is
+    /// extended. Panics on nullary tuples, as [`Instance::insert_tuple`].
+    pub fn extend_relation(&mut self, relation: &RelName, tuples: Vec<Tuple>) {
+        if tuples.is_empty() {
+            return;
+        }
+        assert!(
+            tuples.iter().all(|t| !t.is_empty()),
+            "nullary facts are not supported"
+        );
+        match self.relations.get_mut(relation) {
+            Some(set) => set.extend(tuples),
+            None => {
+                self.relations
+                    .insert(relation.clone(), tuples.into_iter().collect());
+            }
+        }
+    }
+
     /// Remove a fact; returns `true` if it was present.
     pub fn remove(&mut self, fact: &Fact) -> bool {
         if let Some(set) = self.relations.get_mut(fact.relation()) {
@@ -333,6 +354,28 @@ mod tests {
         // Arity mismatch filters facts out.
         let s3 = Schema::from_pairs([("E", 3)]);
         assert!(abc().restrict(&s3).is_empty());
+    }
+
+    #[test]
+    fn extend_relation_builds_and_merges() {
+        let mut i = Instance::new();
+        let e = rel("E");
+        i.extend_relation(
+            &e,
+            vec![vec![v(2), v(3)], vec![v(1), v(2)], vec![v(2), v(3)]],
+        );
+        i.extend_relation(&rel("V"), Vec::new());
+        assert_eq!(
+            i,
+            Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])])
+        );
+        assert_eq!(
+            i.relation_names().count(),
+            1,
+            "empty relations are not stored"
+        );
+        i.extend_relation(&e, vec![vec![v(0), v(1)]]);
+        assert_eq!(i.relation_len("E"), 3);
     }
 
     #[test]

@@ -44,9 +44,10 @@
 //! symbols or rows.
 
 use crate::fact::{rel, RelName};
-use crate::instance::Instance;
+use crate::instance::{Instance, Tuple};
 use crate::schema::Schema;
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -391,24 +392,32 @@ impl Relation {
     /// (support back to 1) — sealed batches and built indexes already
     /// reference that id, so nothing is rebuilt and no duplicate row is
     /// ever enumerated. A genuinely new row updates every built index
-    /// in place — indexes never need rebuilding.
+    /// in place — indexes never need rebuilding. The row is hashed once
+    /// (one entry lookup serves both the membership test and the
+    /// insert), and a row id is allocated — and the capacity guard
+    /// consulted — only for a genuinely new row.
     pub fn insert(&mut self, t: SymTuple) -> bool {
-        if let Some(&id) = self.seen.get(&t) {
-            if self.counts[id as usize] == 0 {
-                self.counts[id as usize] = 1;
-                self.dead -= 1;
-                return true;
+        let vacant = match self.seen.entry(t) {
+            Entry::Occupied(e) => {
+                let id = *e.get() as usize;
+                if self.counts[id] == 0 {
+                    self.counts[id] = 1;
+                    self.dead -= 1;
+                    return true;
+                }
+                return false;
             }
-            return false;
-        }
+            Entry::Vacant(v) => v,
+        };
         let row_id = checked_id(self.rows.len(), self.row_cap, "row");
+        let t = vacant.key();
         for (col, index) in self.indexes.iter_mut().enumerate() {
             if let (Some(map), Some(&s)) = (index.as_mut(), t.get(col)) {
                 map.entry(s).or_default().push(row_id);
             }
         }
-        self.seen.insert(t.clone(), row_id);
-        self.rows.push(t);
+        self.rows.push(t.clone());
+        vacant.insert(row_id);
         self.counts.push(1);
         true
     }
@@ -956,21 +965,7 @@ pub fn load_instance(i: &Instance, symbols: &SharedSymbols, storage: &mut Storag
 /// Read a store back out as a deterministic [`Instance`] (the output
 /// edge).
 pub fn store_to_instance(storage: &Storage, symbols: &SharedSymbols) -> Instance {
-    let table = symbols.read();
-    let mut out = Instance::new();
-    for r in storage.rel_ids() {
-        let Some(relation) = storage.relation(r) else {
-            continue;
-        };
-        if relation.is_empty() {
-            continue;
-        }
-        let name = table.rel_name(r);
-        for row in relation.live_rows() {
-            out.insert_tuple(name, row.iter().map(|&s| table.value(s).clone()).collect());
-        }
-    }
-    out
+    unintern(storage, symbols, None)
 }
 
 /// Read only the relations of `schema` back out (name and arity both
@@ -982,6 +977,13 @@ pub fn store_to_instance_restricted(
     symbols: &SharedSymbols,
     schema: &Schema,
 ) -> Instance {
+    unintern(storage, symbols, Some(schema))
+}
+
+/// The output edge: unintern the live rows of every relation (of
+/// `schema` only, when given, at its arity) into one `Vec` per relation
+/// and build each relation's ordered set from it in bulk.
+fn unintern(storage: &Storage, symbols: &SharedSymbols, schema: Option<&Schema>) -> Instance {
     let table = symbols.read();
     let mut out = Instance::new();
     for r in storage.rel_ids() {
@@ -992,15 +994,16 @@ pub fn store_to_instance_restricted(
             continue;
         }
         let name = table.rel_name(r);
-        let Some(arity) = schema.arity(name) else {
-            continue;
+        let arity = match schema.map(|s| s.arity(name)) {
+            Some(None) => continue, // outside the schema
+            restricted => restricted.flatten(),
         };
-        for row in relation.live_rows() {
-            if row.len() != arity {
-                continue;
-            }
-            out.insert_tuple(name, row.iter().map(|&s| table.value(s).clone()).collect());
-        }
+        let tuples: Vec<Tuple> = relation
+            .live_rows()
+            .filter(|row| arity.is_none_or(|a| row.len() == a))
+            .map(|row| row.iter().map(|&s| table.value(s).clone()).collect())
+            .collect();
+        out.extend_relation(name, tuples);
     }
     out
 }
@@ -1155,6 +1158,23 @@ mod tests {
         assert!(r.insert(syms(&mut t, &[2])));
         assert!(!r.insert(syms(&mut t, &[1]))); // duplicate: no id, no panic
         r.insert(syms(&mut t, &[3])); // 3rd distinct row must trip the guard
+    }
+
+    #[test]
+    fn reinsert_and_revival_at_row_capacity_allocate_no_id() {
+        let mut t = SymbolTable::new();
+        let mut r = Relation::with_row_capacity(2);
+        assert!(r.insert(syms(&mut t, &[1])));
+        assert!(r.insert(syms(&mut t, &[2])));
+        // At capacity: a live duplicate and a revived tombstone reuse
+        // their ids, so neither consults the capacity guard.
+        assert!(!r.insert(syms(&mut t, &[2])));
+        assert!(r.retract(&syms(&mut t, &[1])));
+        assert!(r.insert(syms(&mut t, &[1])), "revival reports a change");
+        assert!(!r.insert(syms(&mut t, &[1])));
+        assert_eq!(r.rows().len(), 2);
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.dead_rows(), 0);
     }
 
     #[test]

@@ -49,7 +49,7 @@
 
 use super::compile::CompiledRule;
 use super::database::Database;
-use super::seminaive::{slot_sym, undo, unify, CompiledProgram};
+use super::seminaive::{undo, unify, Binding, CompiledProgram};
 use calm_common::storage::{RelId, Storage, Sym, SymTuple};
 use calm_common::update::UpdateBatch;
 use calm_obs::Obs;
@@ -180,19 +180,18 @@ fn join(
     view: &View<'_>,
     delta_at: Option<usize>,
     delta_rows: &[SymTuple],
-    binding: &mut Vec<Option<Sym>>,
+    binding: &mut Binding,
     stats: &mut UpdateStats,
-    sink: &mut dyn FnMut(&[Option<Sym>], &mut UpdateStats) -> bool,
+    sink: &mut dyn FnMut(&Binding, &mut UpdateStats) -> bool,
 ) -> bool {
     if idx == rule.pos.len() {
         for (l, r) in &rule.ineq {
-            if slot_sym(l, binding) == slot_sym(r, binding) {
+            if binding.sym(l) == binding.sym(r) {
                 return true;
             }
         }
         for atom in &rule.neg {
-            let row: SymTuple = atom.slots.iter().map(|s| slot_sym(s, binding)).collect();
-            if view.contains(atom.relation, &row) {
+            if view.contains(atom.relation, binding.row(&atom.slots)) {
                 return true;
             }
         }
@@ -205,7 +204,7 @@ fn join(
             if row.len() != atom.slots.len() {
                 continue;
             }
-            if let Some(newly) = unify(atom, row, binding) {
+            if let Some(mark) = unify(atom, row, binding) {
                 let keep = join(
                     rule,
                     idx + 1,
@@ -216,7 +215,7 @@ fn join(
                     stats,
                     sink,
                 );
-                undo(binding, &newly);
+                undo(binding, mark);
                 if !keep {
                     return false;
                 }
@@ -229,7 +228,7 @@ fn join(
         if row.len() != atom.slots.len() {
             return true;
         }
-        if let Some(newly) = unify(atom, row, binding) {
+        if let Some(mark) = unify(atom, row, binding) {
             keep = join(
                 rule,
                 idx + 1,
@@ -240,7 +239,7 @@ fn join(
                 stats,
                 sink,
             );
-            undo(binding, &newly);
+            undo(binding, mark);
         }
         keep
     });
@@ -261,7 +260,7 @@ fn derivable(
         if rule.head.relation != rel || rule.head.slots.len() != t.len() {
             continue;
         }
-        let mut binding = vec![None; rule.nvars];
+        let mut binding = Binding::new(rule.nvars);
         if unify(&rule.head, t, &mut binding).is_none() {
             continue;
         }
@@ -352,7 +351,7 @@ fn maintain_stratum(
                     continue;
                 }
                 let delta: Vec<SymTuple> = rm.iter().cloned().collect();
-                let mut binding = vec![None; rule.nvars];
+                let mut binding = Binding::new(rule.nvars);
                 join(
                     rule,
                     0,
@@ -362,8 +361,7 @@ fn maintain_stratum(
                     &mut binding,
                     stats,
                     &mut |b, _| {
-                        let head: SymTuple =
-                            rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
+                        let head: SymTuple = rule.head.slots.iter().map(|s| b.sym(s)).collect();
                         schedule(rule.head.relation, head, &mut dset, &mut frontier);
                         true
                     },
@@ -377,7 +375,7 @@ fn maintain_stratum(
                     if t.len() != natom.slots.len() {
                         continue;
                     }
-                    let mut binding = vec![None; rule.nvars];
+                    let mut binding = Binding::new(rule.nvars);
                     if unify(natom, t, &mut binding).is_none() {
                         continue;
                     }
@@ -390,8 +388,7 @@ fn maintain_stratum(
                         &mut binding,
                         stats,
                         &mut |b, _| {
-                            let head: SymTuple =
-                                rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
+                            let head: SymTuple = rule.head.slots.iter().map(|s| b.sym(s)).collect();
                             schedule(rule.head.relation, head, &mut dset, &mut frontier);
                             true
                         },
@@ -411,7 +408,7 @@ fn maintain_stratum(
                     let Some(delta) = by_rel.get(&atom.relation) else {
                         continue;
                     };
-                    let mut binding = vec![None; rule.nvars];
+                    let mut binding = Binding::new(rule.nvars);
                     join(
                         rule,
                         0,
@@ -421,8 +418,7 @@ fn maintain_stratum(
                         &mut binding,
                         stats,
                         &mut |b, _| {
-                            let head: SymTuple =
-                                rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
+                            let head: SymTuple = rule.head.slots.iter().map(|s| b.sym(s)).collect();
                             schedule(rule.head.relation, head, &mut dset, &mut next);
                             true
                         },
@@ -483,7 +479,7 @@ fn maintain_stratum(
                 let Some(delta) = by_rel.get(&atom.relation) else {
                     continue;
                 };
-                let mut binding = vec![None; rule.nvars];
+                let mut binding = Binding::new(rule.nvars);
                 join(
                     rule,
                     0,
@@ -493,8 +489,7 @@ fn maintain_stratum(
                     &mut binding,
                     stats,
                     &mut |b, _| {
-                        let head: SymTuple =
-                            rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
+                        let head: SymTuple = rule.head.slots.iter().map(|s| b.sym(s)).collect();
                         let key = (rule.head.relation, head);
                         if dead_set.contains(&key) {
                             next.push(key);
@@ -538,7 +533,7 @@ fn maintain_stratum(
                     continue;
                 }
                 let delta: Vec<SymTuple> = ad.iter().cloned().collect();
-                let mut binding = vec![None; rule.nvars];
+                let mut binding = Binding::new(rule.nvars);
                 join(
                     rule,
                     0,
@@ -548,8 +543,7 @@ fn maintain_stratum(
                     &mut binding,
                     stats,
                     &mut |b, _| {
-                        let head: SymTuple =
-                            rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
+                        let head: SymTuple = rule.head.slots.iter().map(|s| b.sym(s)).collect();
                         schedule(rule.head.relation, head, &mut pending, &mut pending_set);
                         true
                     },
@@ -563,7 +557,7 @@ fn maintain_stratum(
                     if t.len() != natom.slots.len() {
                         continue;
                     }
-                    let mut binding = vec![None; rule.nvars];
+                    let mut binding = Binding::new(rule.nvars);
                     if unify(natom, t, &mut binding).is_none() {
                         continue;
                     }
@@ -576,8 +570,7 @@ fn maintain_stratum(
                         &mut binding,
                         stats,
                         &mut |b, _| {
-                            let head: SymTuple =
-                                rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
+                            let head: SymTuple = rule.head.slots.iter().map(|s| b.sym(s)).collect();
                             schedule(rule.head.relation, head, &mut pending, &mut pending_set);
                             true
                         },
@@ -604,7 +597,7 @@ fn maintain_stratum(
                 let Some(delta) = by_rel.get(&atom.relation) else {
                     continue;
                 };
-                let mut binding = vec![None; rule.nvars];
+                let mut binding = Binding::new(rule.nvars);
                 join(
                     rule,
                     0,
@@ -614,8 +607,7 @@ fn maintain_stratum(
                     &mut binding,
                     stats,
                     &mut |b, _| {
-                        let head: SymTuple =
-                            rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
+                        let head: SymTuple = rule.head.slots.iter().map(|s| b.sym(s)).collect();
                         if !storage.contains(rule.head.relation, &head) {
                             let key = (rule.head.relation, head);
                             if !pending_set.contains(&key) {

@@ -124,56 +124,91 @@ fn sorted_relations(rules: &[CompiledRule]) -> BTreeSet<RelId> {
     out
 }
 
-/// Match one atom against a row, extending `binding`. Returns the slots
-/// that were newly bound (for backtracking), or `None` on mismatch.
+/// A rule's variable binding during a join: one value per variable
+/// slot, the *trail* of slots bound so far (most recent last), and a
+/// scratch row in which negated-atom probes and head rows are built.
+/// One `Binding` serves a whole rule evaluation: matching a row pushes
+/// onto the trail and backtracking truncates it to a mark, so the join
+/// allocates nothing per match. Both buffers grow to the rule's
+/// variable count and widest atom — there is no fixed cap.
 /// `pub(crate)`: the incremental maintenance engine
-/// ([`super::incremental`]) reuses the compiled-rule unification
-/// machinery for its delta joins.
-pub(crate) fn unify(
-    atom: &CompiledAtom,
-    row: &[Sym],
-    binding: &mut [Option<Sym>],
-) -> Option<Vec<usize>> {
+/// ([`super::incremental`]) joins with the same machinery.
+#[derive(Debug)]
+pub(crate) struct Binding {
+    vals: Vec<Option<Sym>>,
+    trail: Vec<usize>,
+    row: SymTuple,
+}
+
+impl Binding {
+    /// All `nvars` slots unbound.
+    pub(crate) fn new(nvars: usize) -> Binding {
+        Binding {
+            vals: vec![None; nvars],
+            trail: Vec::with_capacity(nvars),
+            row: SymTuple::new(),
+        }
+    }
+
+    /// The symbol a slot stands for (a variable slot must be bound).
+    pub(crate) fn sym(&self, slot: &Slot) -> Sym {
+        match slot {
+            Slot::Const(c) => *c,
+            Slot::Var(i) => {
+                self.vals[*i].expect("slot unbound after positive join; rule safety violated")
+            }
+        }
+    }
+
+    /// Instantiate `slots` into the scratch row (every variable must be
+    /// bound). The row is valid until the next call.
+    pub(crate) fn row(&mut self, slots: &[Slot]) -> &[Sym] {
+        self.row.clear();
+        for slot in slots {
+            let s = self.sym(slot);
+            self.row.push(s);
+        }
+        &self.row
+    }
+}
+
+/// Match one atom against a row, extending `binding`. Returns the trail
+/// mark to [`undo`] to when backtracking, or `None` on mismatch (with
+/// `binding` already restored).
+pub(crate) fn unify(atom: &CompiledAtom, row: &[Sym], binding: &mut Binding) -> Option<usize> {
     debug_assert_eq!(atom.slots.len(), row.len());
-    let mut newly = Vec::new();
+    let mark = binding.trail.len();
     for (slot, &s) in atom.slots.iter().zip(row.iter()) {
         match slot {
             Slot::Const(c) => {
                 if *c != s {
-                    undo(binding, &newly);
+                    undo(binding, mark);
                     return None;
                 }
             }
-            Slot::Var(i) => match binding[*i] {
+            Slot::Var(i) => match binding.vals[*i] {
                 Some(existing) => {
                     if existing != s {
-                        undo(binding, &newly);
+                        undo(binding, mark);
                         return None;
                     }
                 }
                 None => {
-                    binding[*i] = Some(s);
-                    newly.push(*i);
+                    binding.vals[*i] = Some(s);
+                    binding.trail.push(*i);
                 }
             },
         }
     }
-    Some(newly)
+    Some(mark)
 }
 
-pub(crate) fn undo(binding: &mut [Option<Sym>], newly: &[usize]) {
-    for &i in newly {
-        binding[i] = None;
+/// Unbind every slot bound since `mark` was taken.
+pub(crate) fn undo(binding: &mut Binding, mark: usize) {
+    for &i in &binding.trail[mark..] {
+        binding.vals[i] = None;
     }
-}
-
-pub(crate) fn slot_sym(slot: &Slot, binding: &[Option<Sym>]) -> Sym {
-    match slot {
-        Slot::Const(c) => *c,
-        Slot::Var(i) => {
-            binding[*i].expect("slot unbound after positive join; rule safety violated")
-        }
-    }
+    binding.trail.truncate(mark);
 }
 
 /// Evaluate a compiled rule against `full`. `delta_at` optionally
@@ -194,9 +229,9 @@ fn eval_rule(
     delta_at: Option<usize>,
     range: Option<(usize, usize)>,
     metrics: &mut EvalMetrics,
-    emit: &mut impl FnMut(RelId, SymTuple),
+    emit: &mut impl FnMut(RelId, &[Sym]),
 ) {
-    let mut binding: Vec<Option<Sym>> = vec![None; rule.nvars];
+    let mut binding = Binding::new(rule.nvars);
     eval_pos(
         rule,
         0,
@@ -220,32 +255,26 @@ fn eval_pos(
     neg_db: &Storage,
     delta_at: Option<usize>,
     range: Option<(usize, usize)>,
-    binding: &mut Vec<Option<Sym>>,
+    binding: &mut Binding,
     metrics: &mut EvalMetrics,
-    emit: &mut impl FnMut(RelId, SymTuple),
+    emit: &mut impl FnMut(RelId, &[Sym]),
 ) {
     if idx == rule.pos.len() {
         // Check inequalities.
         for (l, r) in &rule.ineq {
-            if slot_sym(l, binding) == slot_sym(r, binding) {
+            if binding.sym(l) == binding.sym(r) {
                 return;
             }
         }
-        // Check negative atoms (all slots bound by safety).
+        // Check negative atoms (all slots bound by safety), probing with
+        // the scratch row.
         for atom in &rule.neg {
-            let row: SymTuple = atom.slots.iter().map(|s| slot_sym(s, binding)).collect();
-            if neg_db.contains(atom.relation, &row) {
+            if neg_db.contains(atom.relation, binding.row(&atom.slots)) {
                 return;
             }
         }
-        let head: SymTuple = rule
-            .head
-            .slots
-            .iter()
-            .map(|s| slot_sym(s, binding))
-            .collect();
         metrics.derivations += 1;
-        emit(rule.head.relation, head);
+        emit(rule.head.relation, binding.row(&rule.head.slots));
         return;
     }
     let atom = &rule.pos[idx];
@@ -259,10 +288,7 @@ fn eval_pos(
     // hash index.
     if !scanning_delta && use_index {
         if let Some(p) = atom.probe {
-            let s = match atom.slots[p] {
-                Slot::Const(c) => c,
-                Slot::Var(i) => binding[i].expect("probe position must be bound"),
-            };
+            let s = binding.sym(&atom.slots[p]);
             if atom.strategy == JoinStrategy::Merge {
                 debug_assert_eq!(p, 0, "merge join probes the leading column");
                 debug_assert!(
@@ -275,7 +301,7 @@ fn eval_pos(
                     if row.len() != atom.slots.len() {
                         continue;
                     }
-                    if let Some(newly) = unify(atom, row, binding) {
+                    if let Some(mark) = unify(atom, row, binding) {
                         eval_pos(
                             rule,
                             idx + 1,
@@ -288,7 +314,7 @@ fn eval_pos(
                             metrics,
                             emit,
                         );
-                        undo(binding, &newly);
+                        undo(binding, mark);
                     }
                 }
                 return;
@@ -308,7 +334,7 @@ fn eval_pos(
                     if row.len() != atom.slots.len() {
                         continue;
                     }
-                    if let Some(newly) = unify(atom, row, binding) {
+                    if let Some(mark) = unify(atom, row, binding) {
                         eval_pos(
                             rule,
                             idx + 1,
@@ -321,7 +347,7 @@ fn eval_pos(
                             metrics,
                             emit,
                         );
-                        undo(binding, &newly);
+                        undo(binding, mark);
                     }
                 }
                 return;
@@ -342,7 +368,7 @@ fn eval_pos(
         if row.len() != atom.slots.len() {
             continue;
         }
-        if let Some(newly) = unify(atom, row, binding) {
+        if let Some(mark) = unify(atom, row, binding) {
             eval_pos(
                 rule,
                 idx + 1,
@@ -355,7 +381,7 @@ fn eval_pos(
                 metrics,
                 emit,
             );
-            undo(binding, &newly);
+            undo(binding, mark);
         }
     }
 }
@@ -396,8 +422,8 @@ pub fn fixpoint_naive(program: &Program, db: &mut Database) -> FixpointStats {
                     None,
                     &mut metrics,
                     &mut |rel, row| {
-                        if !storage.contains(rel, &row) {
-                            fresh.push((rel, row));
+                        if !storage.contains(rel, row) {
+                            fresh.push((rel, row.to_vec()));
                         }
                     },
                 );
@@ -735,8 +761,8 @@ fn run_job(
         job.range,
         metrics,
         &mut |rel, row| {
-            if !storage.contains(rel, &row) {
-                sink.push((rel, row));
+            if !storage.contains(rel, row) {
+                sink.push((rel, row.to_vec()));
             }
         },
     );
@@ -981,7 +1007,7 @@ impl RuleSet {
         &self,
         db: &Database,
         metrics: &mut EvalMetrics,
-        emit: &mut impl FnMut(RelId, SymTuple),
+        emit: &mut impl FnMut(RelId, &[Sym]),
     ) {
         let storage = db.storage();
         for rule in &self.compiled {
@@ -999,7 +1025,7 @@ pub fn derive_once(program: &Program, db: &Database) -> Database {
     let mut out = Database::with_symbols(db.symbols().clone());
     let mut metrics = EvalMetrics::default();
     rules.derive(db, &mut metrics, &mut |rel, row| {
-        out.insert(rel, row);
+        out.insert(rel, row.to_vec());
     });
     out
 }
@@ -1052,7 +1078,7 @@ impl ValuationQuery {
             None,
             metrics,
             &mut |_, row| {
-                out.insert(row);
+                out.insert(row.to_vec());
             },
         );
         out.into_iter().collect()

@@ -5,6 +5,7 @@ use super::seminaive::{fixpoint_naive, fixpoint_seminaive_obs, FixpointStats};
 use crate::program::Program;
 use crate::stratify::{stratify, NotStratifiable, Stratification};
 use calm_common::instance::Instance;
+use calm_common::schema::Schema;
 use calm_obs::Obs;
 
 /// Which fixpoint engine to use within each stratum.
@@ -95,6 +96,21 @@ pub fn eval_stratification_opts(
     obs: &Obs,
     eval_threads: usize,
 ) -> (Instance, Vec<FixpointStats>) {
+    let (db, stats) = eval_strata(strat, input, engine, symbols, obs, eval_threads);
+    (db.to_instance(), stats)
+}
+
+/// The strata loop shared by every stratified entry point: load
+/// `input`, run each stratum's fixpoint in order, and hand back the
+/// database, so each caller uninterns only what its answer needs.
+pub(crate) fn eval_strata(
+    strat: &Stratification,
+    input: &Instance,
+    engine: Engine,
+    symbols: calm_common::storage::SharedSymbols,
+    obs: &Obs,
+    eval_threads: usize,
+) -> (Database, Vec<FixpointStats>) {
     use super::seminaive::{fixpoint_seminaive_with_obs, EvalOptions};
     let mut db = Database::from_instance_with(input, symbols);
     let mut stats = Vec::with_capacity(strat.len());
@@ -122,7 +138,15 @@ pub fn eval_stratification_opts(
         };
         stats.push(s);
     }
-    (db.to_instance(), stats)
+    (db, stats)
+}
+
+/// The query output edge: unintern only the relations of `schema` (name
+/// and arity both matching, as in [`Instance::restrict`]), traced as one
+/// `eval.output` span.
+pub(crate) fn output_edge(db: &Database, schema: &Schema, obs: &Obs) -> Instance {
+    let _span = obs.span("eval.output", || "restrict".into());
+    db.to_instance_restricted(schema)
 }
 
 /// Render the per-stratum evaluation plan of a program: one line per
@@ -171,7 +195,7 @@ pub fn plan_report(p: &Program) -> Result<String, NotStratifiable> {
 /// # Errors
 /// Returns [`NotStratifiable`] for programs with a negative cycle.
 pub fn eval_query(p: &Program, input: &Instance) -> Result<Instance, NotStratifiable> {
-    Ok(eval_program(p, input)?.restrict(&p.output_schema()))
+    eval_query_opts(p, input, &Obs::noop(), 1)
 }
 
 /// As [`eval_query`], reporting spans and counters to `obs`.
@@ -188,7 +212,8 @@ pub fn eval_query_obs(
 
 /// As [`eval_query_obs`], with `eval_threads` data-parallel workers
 /// inside every stratum fixpoint (the answer is identical for any
-/// thread count).
+/// thread count). Only the output relations are uninterned: the other
+/// derived relations never leave the substrate.
 ///
 /// # Errors
 /// Returns [`NotStratifiable`] for programs with a negative cycle.
@@ -199,7 +224,7 @@ pub fn eval_query_opts(
     eval_threads: usize,
 ) -> Result<Instance, NotStratifiable> {
     let strat = stratify(p)?;
-    let (out, _) = eval_stratification_opts(
+    let (db, _) = eval_strata(
         &strat,
         input,
         Engine::SemiNaive,
@@ -207,7 +232,7 @@ pub fn eval_query_opts(
         obs,
         eval_threads,
     );
-    Ok(out.restrict(&p.output_schema()))
+    Ok(output_edge(&db, &p.output_schema(), obs))
 }
 
 #[cfg(test)]
@@ -298,6 +323,8 @@ mod tests {
         let report = sink.render();
         assert!(report.contains("eval/stratum#0"), "{report}");
         assert!(report.contains("eval.rule/T#0"), "{report}");
+        // The output edge is attributed, not lost between spans.
+        assert!(report.contains("eval.output/restrict"), "{report}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::eval::database::Database;
 use crate::eval::incremental::{apply_update_compiled, UpdateStats};
 use crate::eval::seminaive::{fixpoint_seminaive_compiled, CompiledProgram, EvalOptions};
-use crate::eval::stratified::{eval_stratification_shared, Engine};
+use crate::eval::stratified::{eval_strata, output_edge, Engine};
 use crate::program::Program;
 use crate::stratify::{stratify, NotStratifiable, Stratification};
 use calm_common::fact::Fact;
@@ -237,26 +237,29 @@ impl Query for DatalogQuery {
 
     fn eval(&self, input: &Instance) -> Instance {
         let restricted = input.restrict(&self.input_schema);
-        match &self.compiled {
+        let db = match &self.compiled {
             Some(strata) => {
                 let mut db = Database::from_instance_with(&restricted, self.symbols.clone());
                 for cp in strata {
                     fixpoint_seminaive_compiled(cp, &mut db);
                 }
-                // Unintern only the output relations — everything else
-                // would be dropped by the restriction anyway.
-                db.to_instance_restricted(&self.output_schema)
+                db
             }
             None => {
-                let (full, _) = eval_stratification_shared(
+                eval_strata(
                     &self.stratification,
                     &restricted,
                     self.engine,
                     self.symbols.clone(),
-                );
-                full.restrict(&self.output_schema)
+                    &Obs::noop(),
+                    1,
+                )
+                .0
             }
-        }
+        };
+        // Unintern only the output relations — everything else would be
+        // dropped by the restriction anyway.
+        output_edge(&db, &self.output_schema, &Obs::noop())
     }
 
     fn name(&self) -> &str {

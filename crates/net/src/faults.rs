@@ -146,6 +146,23 @@ pub struct PKill {
     pub at_step: u64,
 }
 
+/// A scheduled single loss: the first transmission of sequence number
+/// `seq` on link `src → dst` is dropped, and retransmission delivers
+/// it. Unlike the probabilistic `drop_p`, whose rolls land on whatever
+/// sequence numbers the run's batch boundaries produce, it fires on any
+/// run that sends `seq` batches on the link — so a run that provably
+/// uses a link provably loses a message on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeqDrop {
+    /// Sending node (global index).
+    pub src: usize,
+    /// Receiving node (global index).
+    pub dst: usize,
+    /// The per-link sequence number (1-based) whose first
+    /// transmission is lost.
+    pub seq: u64,
+}
+
 /// A seeded, deterministic description of network misbehavior, plus the
 /// knobs of the reliability substrate that repairs it.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,6 +180,8 @@ pub struct FaultPlan {
     /// Process-level worker kills (process engine only; the threaded
     /// engine rejects plans that contain any).
     pub pkills: Vec<PKill>,
+    /// Scheduled single losses.
+    pub seq_drops: Vec<SeqDrop>,
     /// Transitions between periodic snapshots of a node (snapshots are
     /// also forced whenever a worker goes passive with unacked
     /// receipts, so acks always flush).
@@ -188,6 +207,7 @@ impl FaultPlan {
             partitions: Vec::new(),
             crashes: Vec::new(),
             pkills: Vec::new(),
+            seq_drops: Vec::new(),
             snapshot_every: 8,
             retry_budget: 30,
             backoff_base: 8,
@@ -231,6 +251,13 @@ impl FaultPlan {
         self
     }
 
+    /// Builder: drop the first transmission of sequence number `seq`
+    /// on link `src → dst`.
+    pub fn with_seq_drop(mut self, src: usize, dst: usize, seq: u64) -> FaultPlan {
+        self.seq_drops.push(SeqDrop { src, dst, seq });
+        self
+    }
+
     /// Parse a `--faults` spec: comma-separated `key=value` clauses.
     ///
     /// ```text
@@ -242,6 +269,7 @@ impl FaultPlan {
     /// crash=2@5~20              node 2 after transition 5, down 20 ticks
     /// crash=2@5                 as above with the default downtime (4)
     /// pkill(worker=1@step=40)   kill worker 1's process at its 40th step
+    /// drop(link=0>2@seq=1)      lose the first send of seq 1 on link 0>2
     /// seed=7 snapshot=4 retries=16 backoff=8
     /// ```
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
@@ -266,6 +294,28 @@ impl FaultPlan {
                     worker: parse_num(worker, "pkill worker")?,
                     at_step: parse_num(step, "pkill step")?,
                 });
+                continue;
+            }
+            // `drop(link=A>B@seq=N)` likewise.
+            if let Some(inner) = clause_t
+                .strip_prefix("drop(")
+                .and_then(|rest| rest.strip_suffix(')'))
+            {
+                let (l, s) = inner
+                    .split_once('@')
+                    .ok_or_else(|| format!("drop wants link=SRC>DST@seq=N, got '{inner}'"))?;
+                let link = l
+                    .strip_prefix("link=")
+                    .ok_or_else(|| format!("drop clause '{l}' is not link=SRC>DST"))?;
+                let seq = s
+                    .strip_prefix("seq=")
+                    .ok_or_else(|| format!("drop clause '{s}' is not seq=N"))?;
+                let (src, dst) = parse_edge(link)?;
+                let seq = parse_num(seq, "drop seq")?;
+                if seq == 0 {
+                    return Err("drop seq must be at least 1 (sequence numbers are 1-based)".into());
+                }
+                plan.seq_drops.push(SeqDrop { src, dst, seq });
                 continue;
             }
             let (key, value) = clause
@@ -365,6 +415,7 @@ impl FaultPlan {
             || !self.partitions.is_empty()
             || !self.crashes.is_empty()
             || !self.pkills.is_empty()
+            || !self.seq_drops.is_empty()
     }
 
     /// The kill steps of `worker`'s incarnation number `incarnation`,
@@ -392,6 +443,15 @@ impl FaultPlan {
             h ^= h >> 29;
         }
         Rng::seed_from_u64(h)
+    }
+
+    /// Whether a scheduled single loss takes this transmission attempt.
+    fn seq_dropped(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> bool {
+        attempt == 1
+            && self
+                .seq_drops
+                .iter()
+                .any(|d| d.src == src && d.dst == dst && d.seq == seq)
     }
 
     fn partitioned(&self, src: usize, dst: usize, tick: Tick) -> bool {
@@ -946,6 +1006,7 @@ impl<'a> ReliableNet<'a> {
             let lc = self.link_counters.entry((src, dst)).or_default();
             lc.attempts += 1;
             if self.plan.partitioned(src, dst, self.tick)
+                || self.plan.seq_dropped(src, dst, seq, attempt)
                 || (lf.drop_p > 0.0 && rng.gen_bool(lf.drop_p))
             {
                 self.stats.dropped += 1;
@@ -1346,15 +1407,18 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_specs() {
         for bad in [
-            "drop",            // not key=value
-            "drop=2.0",        // probability out of range
-            "delay=0.5",       // missing /MAX
-            "warp=0.1",        // unknown key
-            "partition=0>1",   // missing window
-            "crash=1",         // missing transition
-            "snapshot=0",      // zero interval
-            "retries=0",       // zero budget
-            "link=0:drop=0.1", // malformed endpoints
+            "drop",                 // not key=value
+            "drop=2.0",             // probability out of range
+            "delay=0.5",            // missing /MAX
+            "warp=0.1",             // unknown key
+            "partition=0>1",        // missing window
+            "crash=1",              // missing transition
+            "snapshot=0",           // zero interval
+            "retries=0",            // zero budget
+            "link=0:drop=0.1",      // malformed endpoints
+            "drop(link=0>1)",       // missing seq
+            "drop(link=0>1@seq=0)", // seqs are 1-based
+            "drop(0>1@seq=2)",      // missing link=
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad} should be rejected");
         }
@@ -1534,6 +1598,43 @@ mod tests {
         net2.send(1, 0, batch(2));
         net2.snapshot(1, &mut rev);
         assert_eq!(rev.len(), 1);
+    }
+
+    #[test]
+    fn seq_drop_loses_exactly_the_first_send_of_its_seq() {
+        let plan = FaultPlan::parse("seed=3,drop(link=0>1@seq=2)").unwrap();
+        assert_eq!(plan, FaultPlan::none(3).with_seq_drop(0, 1, 2));
+        assert!(plan.injects_faults());
+        let mut plan = plan;
+        plan.backoff_base = 2;
+        plan.max_backoff = 2;
+        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
+        let mut out = Vec::new();
+        for n in 1..=3 {
+            net.send(0, 1, batch(n));
+        }
+        for n in 4..=5 {
+            net.send(0, 2, batch(n));
+        }
+        net.snapshot(0, &mut out);
+        let seqs = |out: &[Wire]| -> Vec<(usize, u64)> {
+            out.iter()
+                .filter_map(|w| match w {
+                    Wire::Data { dst, seq, .. } => Some((*dst, *seq)),
+                    Wire::Ack { .. } => None,
+                })
+                .collect()
+        };
+        // Seq 2 on 0>1 is lost; the other link's seq 2 is untouched.
+        assert_eq!(seqs(&out), vec![(1, 1), (1, 3), (2, 1), (2, 2)]);
+        assert_eq!(net.stats.dropped, 1);
+        // Its retransmission (attempt 2) goes through.
+        let mut resent = Vec::new();
+        while net.now() < 4 {
+            net.advance(&mut resent);
+        }
+        assert!(seqs(&resent).contains(&(1, 2)), "{:?}", seqs(&resent));
+        assert_eq!(net.stats.dropped, 1);
     }
 
     #[test]

@@ -14,7 +14,8 @@ use calm_obs::trace::analyze_lines;
 use calm_obs::{JsonlSink, Obs};
 use calm_queries::tc::tc_datalog;
 use calm_transducer::{
-    run, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig, TransducerNetwork,
+    distribute, run, DistributionPolicy, HashPolicy, MonotoneBroadcast, Network, Scheduler,
+    SystemConfig, TransducerNetwork,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -58,13 +59,21 @@ fn faulty_threaded_trace_reconstructs_a_complete_acyclic_graph() {
     };
     let buf = SharedBuf::default();
     let obs = Obs::new(Arc::new(JsonlSink::to_writer(Box::new(buf.clone()))));
-    let plan = FaultPlan::uniform(23, 0.05, 0.0);
-    let r = run_threaded_with(
-        &tn,
-        &chain_input(8),
-        &ThreadedConfig::new(3).with_faults(plan),
-        &obs,
-    );
+    // On top of the seeded 5% loss, whose rolls land wherever the run's
+    // batch boundaries put the sequence numbers, lose the first send on
+    // a link the run provably uses: broadcast ships every input fact
+    // from the node holding it to every other node, so the holder of
+    // E(0,1) sends seq 1 to its ring successor.
+    let input = chain_input(8);
+    let nodes: Vec<_> = policy.network().nodes().cloned().collect();
+    let dist = distribute(&policy, &input);
+    let holder = nodes
+        .iter()
+        .position(|n| dist.get(n).is_some_and(|i| i.contains(&fact("E", [0, 1]))))
+        .expect("some node holds E(0,1)");
+    let plan =
+        FaultPlan::uniform(23, 0.05, 0.0).with_seq_drop(holder, (holder + 1) % nodes.len(), 1);
+    let r = run_threaded_with(&tn, &input, &ThreadedConfig::new(3).with_faults(plan), &obs);
     obs.finish();
     assert!(r.quiescent, "lossy run must still quiesce");
 
