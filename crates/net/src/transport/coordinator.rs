@@ -51,6 +51,11 @@ const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(30);
 /// accepted (a connected-but-silent peer must not stall the others).
 const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// The first and the longest sleep between two `accept` polls of the
+/// handshake barrier.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_micros(20);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(5);
+
 /// After a worker failure, how long the coordinator waits for the
 /// survivors to honor the `Terminate` broadcast and report their
 /// finals before giving up on them too.
@@ -226,10 +231,6 @@ fn suffixed(base: &Option<String>, worker: usize, incarnation: u64) -> Option<St
     })
 }
 
-/// Accept one connection and read its `Hello`, enforcing the protocol
-/// version. The per-stream read timeout is capped by the remaining
-/// barrier time, so a connected-but-silent peer cannot stall past the
-/// deadline.
 /// One accepted connection's Hello verdict: a worker that spoke, or a
 /// dud connection (connected, then hung up / went silent) that should
 /// not doom the barrier while the deadline still has time on it.
@@ -238,7 +239,15 @@ enum HelloOutcome {
     Dud(String),
 }
 
+/// Accept one connection and read its `Hello`, enforcing the protocol
+/// version. While no connection is pending the poll backs off from
+/// [`ACCEPT_BACKOFF_MIN`], doubling up to [`ACCEPT_BACKOFF_MAX`]: a
+/// worker that dials in right away is accepted within microseconds, a
+/// late one costs at most one long sleep. The per-stream read timeout is
+/// capped by the remaining barrier time, so a connected-but-silent peer
+/// cannot stall past the deadline.
 fn accept_hello(listener: &TcpListener, deadline: Instant) -> Result<HelloOutcome, NetError> {
+    let mut backoff = ACCEPT_BACKOFF_MIN;
     let mut stream = loop {
         match listener.accept() {
             Ok((s, _)) => break s,
@@ -246,7 +255,8 @@ fn accept_hello(listener: &TcpListener, deadline: Instant) -> Result<HelloOutcom
                 if Instant::now() > deadline {
                     return Err(NetError::Handshake("never connected".into()));
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
             }
             Err(e) => return Err(NetError::Listen(e)),
         }

@@ -19,8 +19,8 @@
 use calm_common::rng::Rng;
 use calm_common::{fact, Instance};
 use calm_net::{
-    run_net_worker, run_process, Assign, JobSpec, ProcessConfig, ProcessRunResult, SpawnHandle,
-    WorkerSetup,
+    run_net_worker, run_process, run_threaded, Assign, JobSpec, ProcessConfig, ProcessRunResult,
+    Programs, SpawnHandle, ThreadedConfig, ThreadedNetwork, WorkerSetup,
 };
 use calm_obs::Obs;
 use calm_queries::qtc::qtc_datalog;
@@ -220,6 +220,78 @@ fn disjoint_process_runs_match_oracle_across_10_seeds() {
     }
 }
 
+/// Graph `g` of `calm-transducer`'s step golden record
+/// (`tests/step_golden.rs`), which pins the sequential engine's counters
+/// on it: 5..=8 values, 5..=12 edges, self-loops included.
+fn golden_graph(g: u64) -> Instance {
+    let mut rng = Rng::seed_from_u64(0x5EED_0000 + g);
+    let domain = 5 + g % 4;
+    let edges = 5 + g as usize;
+    Instance::from_facts((0..edges).map(|_| {
+        fact(
+            "E",
+            [
+                rng.gen_range(0..domain) as i64,
+                rng.gen_range(0..domain) as i64,
+            ],
+        )
+    }))
+}
+
+#[test]
+fn golden_graphs_send_what_the_sequential_engine_sends() {
+    // On the step golden record's graphs, the threaded and process
+    // engines at 2 workers must match the sequential run in everything
+    // the semantics makes schedule-independent: the output, quiescence,
+    // `messages_sent` and the per-class counts (every node sends each
+    // message fact once, and at quiescence it has sent all it ever will).
+    for strategy in ["monotone", "distinct", "disjoint"] {
+        let (t, policy, config) = family(strategy, 4);
+        for g in 0..8 {
+            let input = golden_graph(g);
+            let seq = run(
+                &TransducerNetwork {
+                    transducer: t.as_ref(),
+                    policy: policy.as_ref(),
+                    config,
+                },
+                &input,
+                &Scheduler::RoundRobin,
+                500_000,
+            );
+            assert!(
+                seq.quiescent,
+                "{strategy} g{g}: sequential run must quiesce"
+            );
+            let thr = run_threaded(
+                &ThreadedNetwork {
+                    programs: Programs::Shared(t.as_ref()),
+                    policy: policy.as_ref(),
+                    config,
+                },
+                &input,
+                &ThreadedConfig::new(2),
+            );
+            let pr = run_process_tcp(strategy, &input, 4, 2, None);
+            let pr_quiescent = pr.quiescent && pr.failed_workers.is_empty();
+            let pr_output = project_output(t.as_ref(), &pr);
+            for (tag, output, quiescent, m) in [
+                ("threaded", &thr.output, thr.quiescent, &thr.metrics),
+                ("process", &pr_output, pr_quiescent, &pr.metrics),
+            ] {
+                let tag = format!("{strategy} g{g} {tag} x2");
+                assert!(quiescent, "{tag}: must quiesce");
+                assert_eq!(output, &seq.output, "{tag}: output");
+                assert_eq!(
+                    m.messages_sent, seq.metrics.messages_sent,
+                    "{tag}: messages sent"
+                );
+                assert_eq!(m.by_class, seq.metrics.by_class, "{tag}: per-class counts");
+            }
+        }
+    }
+}
+
 #[test]
 fn faulty_process_runs_keep_the_wire_accounting_identity() {
     // TCP is reliable, but the fault *plan* still injects loss,
@@ -411,6 +483,61 @@ fn handshake_barrier_names_a_worker_that_never_connects() {
         .expect_err("a missing worker must fail the barrier");
     let msg = err.to_string();
     assert!(msg.contains("worker(s) 1"), "{msg}");
+}
+
+#[test]
+fn handshake_barrier_accepts_a_late_worker() {
+    // Worker 1 dials in about 30 ms after the listener opens, so the
+    // barrier's accept poll has backed off through several doublings
+    // before it connects. It must still be accepted, and the run must
+    // be the ordinary one.
+    let input = calm_common::generator::path(5);
+    let (t, policy, sys) = family("monotone", 4);
+    let expected = run(
+        &TransducerNetwork {
+            transducer: t.as_ref(),
+            policy: policy.as_ref(),
+            config: sys,
+        },
+        &input,
+        &Scheduler::RoundRobin,
+        500_000,
+    )
+    .output;
+    let cfg = ProcessConfig::new(2, spec_for("monotone", 4, None)).with_respawn_budget(0);
+    let input_c = input.clone();
+    let spawner = move |k: usize, addr: &str| -> Result<SpawnHandle, String> {
+        let addr = addr.to_string();
+        let input = input_c.clone();
+        Ok(SpawnHandle::Thread(std::thread::spawn(move || {
+            if k == 1 {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+            }
+            let builder = move |assign: &Assign| -> Result<WorkerSetup, String> {
+                let (transducer, policy, config) = family(&assign.spec.strategy, assign.spec.nodes);
+                Ok(WorkerSetup {
+                    transducer,
+                    policy,
+                    config,
+                    input: input.clone(),
+                    obs: Obs::noop(),
+                })
+            };
+            if let Err(e) = run_net_worker(&addr, k, &builder) {
+                eprintln!("worker {k} failed: {e}");
+            }
+        })))
+    };
+    let start = std::time::Instant::now();
+    let r = run_process(&cfg, &spawner, &Obs::noop()).expect("a late worker is accepted");
+    assert!(
+        start.elapsed() >= std::time::Duration::from_millis(30),
+        "the run waited for the late worker"
+    );
+    assert!(r.failed_workers.is_empty(), "no worker may fail");
+    assert!(r.quiescent, "termination must be detected");
+    assert_eq!(r.per_worker.len(), 2, "both workers report");
+    assert_eq!(project_output(t.as_ref(), &r), expected);
 }
 
 #[test]

@@ -22,7 +22,7 @@ use crate::network::NodeId;
 use crate::policy::DistributionPolicy;
 use crate::schema::SystemConfig;
 use crate::strategy::classify_message;
-use crate::system_facts::system_facts;
+use crate::system_facts::SystemFacts;
 use crate::transducer::Transducer;
 use calm_common::fact::Fact;
 use calm_common::instance::Instance;
@@ -30,7 +30,8 @@ use calm_obs::{ArgValue, Obs};
 
 /// The engine-independent half of one node's transition: everything
 /// after delivery. Construct once per node (it caches the node's obs
-/// track and recipient count) and call [`NodeEngine::apply`] per step.
+/// track, recipient count and system facts) and call
+/// [`NodeEngine::apply`] per step.
 pub struct NodeEngine<'a> {
     transducer: &'a dyn Transducer,
     policy: &'a dyn DistributionPolicy,
@@ -42,6 +43,9 @@ pub struct NodeEngine<'a> {
     track: u32,
     /// `|N| - 1`: every sent fact is enqueued once per other node.
     recipients: usize,
+    /// `S`, kept across steps with the known-value set it was built
+    /// from.
+    system: SystemFacts,
 }
 
 /// What one [`NodeEngine::apply`] produced, for the caller to route.
@@ -80,6 +84,7 @@ impl<'a> NodeEngine<'a> {
             input,
             track,
             recipients,
+            system: SystemFacts::default(),
         }
     }
 
@@ -113,7 +118,7 @@ impl<'a> NodeEngine<'a> {
     /// no-op at every receiver). The sequential engine passes `None`:
     /// its delivered-set bookkeeping lives in [`crate::runtime::run`].
     pub fn apply(
-        &self,
+        &mut self,
         state: &mut Instance,
         delivered: &[Fact],
         delivered_occurrences: usize,
@@ -123,23 +128,23 @@ impl<'a> NodeEngine<'a> {
     ) -> NodeStepOutcome {
         metrics.transitions += 1;
 
-        // J = H(x) ∪ s(x) ∪ M.
-        let mut j = self.input.clone();
-        j.extend(state.facts());
-        j.extend(delivered.iter().cloned());
-
-        // S and D.
-        let s = system_facts(
+        // D = H(x) ∪ s(x) ∪ M ∪ S, built once. The four parts are over
+        // disjoint schemas, so each relation is added in bulk.
+        let mut d = state.clone();
+        absorb(&mut d, self.input);
+        d.extend(delivered.iter().cloned());
+        let s = self.system.refresh(
             &self.node,
             self.policy.network(),
             &self.transducer.schema().input,
             self.policy,
             self.sys,
-            &j,
+            &d,
         );
-        let d = j.union(&s);
+        absorb(&mut d, s);
 
         let step = self.transducer.step(&d);
+        drop(d);
         metrics.eval.merge(&step.metrics);
 
         // Update state: cumulative output, insert/delete memory. Change
@@ -159,8 +164,15 @@ impl<'a> NodeEngine<'a> {
                 grew_output = true;
             }
         }
-        let ins = step.ins.difference(&step.del);
-        let del = step.del.difference(&step.ins);
+        // A fact both inserted and deleted is neither.
+        let (ins, del) = if step.del.is_empty() {
+            (step.ins, step.del)
+        } else {
+            (
+                step.ins.difference(&step.del),
+                step.del.difference(&step.ins),
+            )
+        };
         for f in ins.facts() {
             debug_assert!(schema.mem.covers(&f), "Qins must target Υmem: {f}");
             if state.insert(f) {
@@ -241,6 +253,13 @@ impl<'a> NodeEngine<'a> {
     }
 }
 
+/// Add every fact of `other` to `d`, one bulk extension per relation.
+fn absorb(d: &mut Instance, other: &Instance) {
+    for r in other.relation_names() {
+        d.extend_relation(r, other.tuples(r).cloned().collect());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,7 +279,7 @@ mod tests {
         let policy = HashPolicy::new(net.clone());
         let input = Instance::from_facts([fact("E", [1, 2])]);
         let x = net.first().clone();
-        let engine = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &input);
+        let mut engine = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &input);
         let mut state = Instance::new();
         let mut metrics = Metrics::default();
         let outcome = engine.apply(&mut state, &[], 0, None, &mut metrics, &Obs::noop());
@@ -281,7 +300,7 @@ mod tests {
         let policy = HashPolicy::new(net.clone());
         let input = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
         let x = net.first().clone();
-        let engine = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &input);
+        let mut engine = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &input);
         let mut state = Instance::new();
         let mut metrics = Metrics::default();
         let first = engine.apply(&mut state, &[], 0, None, &mut metrics, &Obs::noop());

@@ -212,26 +212,32 @@ pub fn transition_with(
     metrics: &mut Metrics,
     obs: &Obs,
 ) -> bool {
-    transition_traced(tn, dist, config, x, delivery, metrics, obs, None)
+    let empty = Instance::new();
+    let input = dist.get(x).unwrap_or(&empty);
+    let mut engine = NodeEngine::new(tn.transducer, tn.policy, tn.config, x.clone(), input);
+    transition_traced(tn, config, &mut engine, delivery, metrics, obs, None)
 }
 
-/// As [`transition_with`], additionally threading the causal-tracing
-/// state: when `trace` is supplied and `obs` is enabled, a send mints a
-/// `(origin, seq)` message id (causal parent: the last id routed into
-/// `x`'s buffer) and emits `trace/send`, and each recipient's buffer
-/// insertion emits `trace/deliver` — the same event vocabulary as the
-/// threaded executor, so `calm trace report` ingests either.
+/// As [`transition_with`], for the node `engine` steps: a caller that
+/// keeps one engine per node keeps its system facts from step to step.
+/// Additionally threads the causal-tracing state: when `trace` is
+/// supplied and `obs` is enabled, a send mints a `(origin, seq)` message
+/// id (causal parent: the last id routed into `x`'s buffer) and emits
+/// `trace/send`, and each recipient's buffer insertion emits
+/// `trace/deliver` — the same event vocabulary as the threaded executor,
+/// so `calm trace report` ingests either.
 #[allow(clippy::too_many_arguments)]
 pub fn transition_traced(
     tn: &TransducerNetwork<'_>,
-    dist: &BTreeMap<NodeId, Instance>,
     config: &mut Configuration,
-    x: &NodeId,
+    engine: &mut NodeEngine<'_>,
     delivery: Delivery,
     metrics: &mut Metrics,
     obs: &Obs,
     mut trace: Option<&mut CausalTrace>,
 ) -> bool {
+    let node = engine.node().clone();
+    let x = &node;
     // Delivery half: choose the submultiset m ⊆ b(x) and collapse to the
     // set M. (The step half lives in `NodeEngine::apply`, shared with
     // the threaded executor.)
@@ -282,9 +288,6 @@ pub fn transition_traced(
     }
 
     // Step half: shared node engine.
-    let empty = Instance::new();
-    let input = dist.get(x).unwrap_or(&empty);
-    let engine = NodeEngine::new(tn.transducer, tn.policy, tn.config, x.clone(), input);
     let state = config.state.get_mut(x).expect("node state");
     let outcome = engine.apply(state, &delivered, delivered_n, None, metrics, obs);
 
@@ -502,6 +505,17 @@ pub fn run_with(
     obs: &Obs,
 ) -> RunResult {
     let dist = distribute(tn.policy, input);
+    let empty = Instance::new();
+    let nodes: Vec<NodeId> = tn.policy.network().nodes().cloned().collect();
+    // One engine per node for the whole run, so each keeps its system
+    // facts from step to step.
+    let mut engines: Vec<NodeEngine<'_>> = nodes
+        .iter()
+        .map(|x| {
+            let input = dist.get(x).unwrap_or(&empty);
+            NodeEngine::new(tn.transducer, tn.policy, tn.config, x.clone(), input)
+        })
+        .collect();
     let mut config = Configuration::start(tn.policy.network());
     let mut metrics = Metrics::default();
     let mut trace = CausalTrace::default();
@@ -541,12 +555,12 @@ pub fn run_with(
         };
         let prefix = (*prefix).min(max_transitions / 2);
         let mut rng = Rng::seed_from_u64(*seed);
-        let nodes: Vec<NodeId> = tn.policy.network().nodes().cloned().collect();
         for _ in 0..prefix {
             if metrics.transitions >= max_transitions {
                 break;
             }
-            let x = nodes[rng.gen_range(0..nodes.len())].clone();
+            let i = rng.gen_range(0..nodes.len());
+            let x = &nodes[i];
             let delivery = match rng.gen_range(0..3u8) {
                 0 => Delivery::All,
                 1 => Delivery::None,
@@ -559,13 +573,12 @@ pub fn run_with(
             // sampled delivery may skip occurrences; under-recording is
             // conservative for quiescence detection).
             if delivery == Delivery::All {
-                note_delivery(&config, &mut delivered, &x);
+                note_delivery(&config, &mut delivered, x);
             }
             transition_traced(
                 tn,
-                &dist,
                 &mut config,
-                &x,
+                &mut engines[i],
                 delivery,
                 &mut metrics,
                 obs,
@@ -575,20 +588,18 @@ pub fn run_with(
     }
 
     // Closing round-robin sweeps with full delivery.
-    let nodes: Vec<NodeId> = tn.policy.network().nodes().cloned().collect();
     let mut quiescent = false;
     while metrics.transitions < max_transitions {
         let mut state_changed = false;
-        for x in &nodes {
+        for (x, engine) in nodes.iter().zip(engines.iter_mut()) {
             if metrics.transitions >= max_transitions {
                 break;
             }
             note_delivery(&config, &mut delivered, x);
             if transition_traced(
                 tn,
-                &dist,
                 &mut config,
-                x,
+                engine,
                 Delivery::All,
                 &mut metrics,
                 obs,

@@ -10,11 +10,11 @@
 //! data distribution — the strategy never reads `All` and cannot
 //! globally synchronize.
 
-use super::{coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema};
+use super::{coll_rel, collected_input, msg_rel, new_output, renamed_output_schema};
 use crate::schema::{policy_relation, TransducerSchema};
 use crate::transducer::{Transducer, TransducerStep};
 use calm_common::component::components;
-use calm_common::fact::Fact;
+use calm_common::fact::{rel, RelName};
 use calm_common::instance::Instance;
 use calm_common::query::Query;
 use calm_common::schema::Schema;
@@ -56,6 +56,41 @@ pub struct DisjointStrategy {
     query: Box<dyn Query>,
     schema: TransducerSchema,
     name: String,
+    rels: Vec<Rels>,
+    protocol: Protocol,
+}
+
+/// An input relation `R` and the relations derived from it, named once
+/// at construction.
+struct Rels {
+    rel: RelName,
+    arity: usize,
+    /// `m_R`
+    msg: RelName,
+    /// `k_R`
+    ack: RelName,
+    /// `c_R`
+    coll: RelName,
+    /// `ka_R`
+    recv_ack: RelName,
+    /// `sk_R`
+    sent_ack: RelName,
+    /// `sm_R`
+    sent_fact: RelName,
+    /// `policy_R`
+    policy: RelName,
+}
+
+/// The fixed protocol relations, named once at construction.
+struct Protocol {
+    val_bc: RelName,
+    request: RelName,
+    ok: RelName,
+    sent_val: RelName,
+    sent_req: RelName,
+    remembered_req: RelName,
+    sent_ok: RelName,
+    got_ok: RelName,
 }
 
 impl DisjointStrategy {
@@ -83,10 +118,36 @@ impl DisjointStrategy {
         }
         let output = renamed_output_schema(query.as_ref());
         let name = format!("disjoint-strategy({})", query.name());
+        let rels = input
+            .iter()
+            .map(|(r, arity)| Rels {
+                rel: r.clone(),
+                arity,
+                msg: rel(msg_rel(r)),
+                ack: rel(ack_rel(r)),
+                coll: rel(coll_rel(r)),
+                recv_ack: rel(recv_ack_rel(r)),
+                sent_ack: rel(sent_ack_rel(r)),
+                sent_fact: rel(sent_fact_rel(r)),
+                policy: rel(policy_relation(r)),
+            })
+            .collect();
+        let protocol = Protocol {
+            val_bc: rel(VAL_BC),
+            request: rel(REQUEST),
+            ok: rel(OK),
+            sent_val: rel(SENT_VAL),
+            sent_req: rel(SENT_REQ),
+            remembered_req: rel(REMEMBERED_REQ),
+            sent_ok: rel(SENT_OK),
+            got_ok: rel(GOT_OK),
+        };
         DisjointStrategy {
             schema: TransducerSchema::new(input, output, msg, mem),
             query,
             name,
+            rels,
+            protocol,
         }
     }
 
@@ -103,7 +164,7 @@ impl Transducer for DisjointStrategy {
 
     fn step(&self, d: &Instance) -> TransducerStep {
         let mut step = TransducerStep::default();
-        let input_schema = self.query.input_schema();
+        let p = &self.protocol;
         let me = match d.tuples("Id").next() {
             Some(t) => t[0].clone(),
             // Oblivious model: the protocol needs Id; do nothing.
@@ -113,88 +174,106 @@ impl Transducer for DisjointStrategy {
 
         // Responsibility: x ∈ α(a) iff policy_R(a,...,a) is visible for
         // some input relation (paper's criterion).
-        let responsible = |a: &Value| -> bool {
-            input_schema.iter().any(|(r, arity)| {
-                let tuple: Vec<Value> = std::iter::repeat_n(a.clone(), arity).collect();
-                d.contains_tuple(&policy_relation(r), &tuple)
+        let mut diagonal = Vec::new();
+        let owned: BTreeSet<Value> = myadom
+            .iter()
+            .filter(|a| {
+                self.rels.iter().any(|n| {
+                    diagonal.clear();
+                    diagonal.resize(n.arity, (*a).clone());
+                    d.contains_tuple(&n.policy, &diagonal)
+                })
             })
-        };
+            .cloned()
+            .collect();
 
         // Collected facts (local ∪ remembered ∪ freshly delivered).
-        let collected = collected_input(input_schema, d);
-        for f in collected.facts() {
-            step.ins
-                .insert(Fact::new(coll_rel(f.relation()), f.args().to_vec()));
+        let collected = collected_input(self.query.input_schema(), d);
+        for n in &self.rels {
+            for t in collected.tuples(&n.rel) {
+                if !d.contains_tuple(&n.coll, t) {
+                    step.ins.insert_tuple(&n.coll, t.clone());
+                }
+            }
         }
 
         // 1. Broadcast the local input fragment's active domain (once per
         //    value).
-        let mut local_input = Instance::new();
-        for (r, _) in input_schema.iter() {
-            for t in d.tuples(r) {
-                local_input.insert(Fact::new(r.as_ref(), t.clone()));
-            }
-        }
-        for a in local_input.adom() {
-            if !d.contains_tuple(SENT_VAL, std::slice::from_ref(&a)) {
-                step.snd.insert(Fact::new(VAL_BC, vec![a.clone()]));
-                step.ins.insert(Fact::new(SENT_VAL, vec![a]));
+        let local_adom: BTreeSet<&Value> = self
+            .rels
+            .iter()
+            .flat_map(|n| d.tuples(&n.rel).flatten())
+            .collect();
+        for a in local_adom {
+            if !d.contains_tuple(&p.sent_val, std::slice::from_ref(a)) {
+                step.snd.insert_tuple(&p.val_bc, vec![a.clone()]);
+                step.ins.insert_tuple(&p.sent_val, vec![a.clone()]);
             }
         }
 
         // 2. Request every known value we are not responsible for.
         for a in &myadom {
-            if !responsible(a) && !d.contains_tuple(SENT_REQ, std::slice::from_ref(a)) {
+            if !owned.contains(a) && !d.contains_tuple(&p.sent_req, std::slice::from_ref(a)) {
                 step.snd
-                    .insert(Fact::new(REQUEST, vec![me.clone(), a.clone()]));
-                step.ins.insert(Fact::new(SENT_REQ, vec![a.clone()]));
+                    .insert_tuple(&p.request, vec![me.clone(), a.clone()]);
+                step.ins.insert_tuple(&p.sent_req, vec![a.clone()]);
             }
         }
 
         // 3. Remember requests (delivered now or earlier).
-        let mut requests: BTreeSet<(Value, Value)> = BTreeSet::new();
-        for t in d.tuples(REQUEST).chain(d.tuples(REMEMBERED_REQ)) {
-            requests.insert((t[0].clone(), t[1].clone()));
-            step.ins.insert(Fact::new(REMEMBERED_REQ, t.clone()));
-        }
-
-        // 4. Record delivered acks and OKs.
-        for (r, _) in input_schema.iter() {
-            for t in d.tuples(&ack_rel(r)) {
-                step.ins.insert(Fact::new(recv_ack_rel(r), t.clone()));
+        for t in d.tuples(&p.request) {
+            if !d.contains_tuple(&p.remembered_req, t) {
+                step.ins.insert_tuple(&p.remembered_req, t.clone());
             }
         }
-        let mut got_ok: BTreeSet<Value> = d.tuples(GOT_OK).map(|t| t[0].clone()).collect();
-        for t in d.tuples(OK) {
+        let requests: BTreeSet<(&Value, &Value)> = d
+            .tuples(&p.request)
+            .chain(d.tuples(&p.remembered_req))
+            .map(|t| (&t[0], &t[1]))
+            .collect();
+
+        // 4. Record delivered acks and OKs.
+        for n in &self.rels {
+            for t in d.tuples(&n.ack) {
+                if !d.contains_tuple(&n.recv_ack, t) {
+                    step.ins.insert_tuple(&n.recv_ack, t.clone());
+                }
+            }
+        }
+        let mut got_ok: BTreeSet<&Value> = d.tuples(&p.got_ok).map(|t| &t[0]).collect();
+        for t in d.tuples(&p.ok) {
             if t[0] == me {
-                got_ok.insert(t[1].clone());
-                step.ins.insert(Fact::new(GOT_OK, vec![t[1].clone()]));
+                got_ok.insert(&t[1]);
+                if !d.contains_tuple(&p.got_ok, &t[1..]) {
+                    step.ins.insert_tuple(&p.got_ok, vec![t[1].clone()]);
+                }
             }
         }
 
         // 5. Serve remembered requests for values we own: send the local
         //    facts containing the value, and send OK once the requester
         //    has acknowledged all of them.
-        for (requester, a) in &requests {
-            if !responsible(a) {
+        let mut ack_key = Vec::new();
+        for (requester, a) in requests {
+            if !owned.contains(a) {
                 continue;
             }
             let mut all_acked = true;
-            for (r, _) in input_schema.iter() {
-                for t in local_input.tuples(r) {
+            for n in &self.rels {
+                for t in d.tuples(&n.rel) {
                     if !t.contains(a) {
                         continue;
                     }
-                    if !d.contains_tuple(&sent_fact_rel(r), t) {
-                        step.snd.insert(Fact::new(msg_rel(r), t.clone()));
-                        step.ins.insert(Fact::new(sent_fact_rel(r), t.clone()));
+                    if !d.contains_tuple(&n.sent_fact, t) {
+                        step.snd.insert_tuple(&n.msg, t.clone());
+                        step.ins.insert_tuple(&n.sent_fact, t.clone());
                     }
                     // Has `requester` acknowledged this fact?
-                    let mut ack_key = Vec::with_capacity(t.len() + 1);
+                    ack_key.clear();
                     ack_key.push(requester.clone());
                     ack_key.extend(t.iter().cloned());
-                    let acked = d.contains_tuple(&recv_ack_rel(r), &ack_key)
-                        || d.contains_tuple(&ack_rel(r), &ack_key);
+                    let acked = d.contains_tuple(&n.recv_ack, &ack_key)
+                        || d.contains_tuple(&n.ack, &ack_key);
                     if !acked {
                         all_acked = false;
                     }
@@ -202,39 +281,45 @@ impl Transducer for DisjointStrategy {
             }
             if all_acked {
                 let ok_key = [requester.clone(), a.clone()];
-                if !d.contains_tuple(SENT_OK, &ok_key) {
-                    step.snd.insert(Fact::new(OK, ok_key.to_vec()));
-                    step.ins.insert(Fact::new(SENT_OK, ok_key.to_vec()));
+                if !d.contains_tuple(&p.sent_ok, &ok_key) {
+                    step.snd.insert_tuple(&p.ok, ok_key.to_vec());
+                    step.ins.insert_tuple(&p.sent_ok, ok_key.to_vec());
                 }
             }
         }
 
         // 6. Acknowledge every collected fact (once).
-        for f in collected.facts() {
-            let r = f.relation().as_ref().to_string();
-            if !d.contains_tuple(&sent_ack_rel(&r), f.args()) {
-                let mut ack = Vec::with_capacity(f.arity() + 1);
-                ack.push(me.clone());
-                ack.extend(f.args().iter().cloned());
-                step.snd.insert(Fact::new(ack_rel(&r), ack));
-                step.ins
-                    .insert(Fact::new(sent_ack_rel(&r), f.args().to_vec()));
+        for n in &self.rels {
+            for t in collected.tuples(&n.rel) {
+                if !d.contains_tuple(&n.sent_ack, t) {
+                    let mut ack = Vec::with_capacity(t.len() + 1);
+                    ack.push(me.clone());
+                    ack.extend(t.iter().cloned());
+                    step.snd.insert_tuple(&n.ack, ack);
+                    step.ins.insert_tuple(&n.sent_ack, t.clone());
+                }
             }
         }
 
         // 7. Determined values; output Q on the ready components.
-        let determined: BTreeSet<Value> = myadom
-            .iter()
-            .filter(|a| responsible(a) || got_ok.contains(*a))
-            .cloned()
-            .collect();
-        let mut ready = Instance::new();
-        for component in components(&collected) {
-            if component.adom().iter().all(|a| determined.contains(a)) {
-                ready.extend(component.facts());
+        let determined = |a: &Value| {
+            myadom.binary_search(a).is_ok() && (owned.contains(a) || got_ok.contains(a))
+        };
+        let all_ready = collected
+            .relation_names()
+            .all(|r| collected.tuples(r).flatten().all(determined));
+        let answer = if all_ready {
+            self.query.eval(&collected)
+        } else {
+            let mut ready = Instance::new();
+            for component in components(&collected) {
+                if component.adom().iter().all(determined) {
+                    ready.extend(component.facts());
+                }
             }
-        }
-        step.out = rename_to_out(&self.query.eval(&ready));
+            self.query.eval(&ready)
+        };
+        step.out = new_output(&answer, d);
         step
     }
 

@@ -9,18 +9,15 @@
 //! `Q({f | adom(f) ⊆ C})` is output (sound for `Q ∈ Mdistinct` because
 //! the rest of the input is domain-distinct from the complete part).
 
-use super::{
-    absence_rel, coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema,
-};
+use super::{absence_rel, coll_rel, collected_input, msg_rel, new_output, renamed_output_schema};
 use crate::schema::{policy_relation, TransducerSchema};
-use crate::system_facts::tuples_over;
+use crate::system_facts::for_each_tuple;
 use crate::transducer::{Transducer, TransducerStep};
-use calm_common::fact::Fact;
+use calm_common::fact::{rel, RelName};
 use calm_common::instance::Instance;
 use calm_common::query::Query;
 use calm_common::schema::Schema;
 use calm_common::value::Value;
-use std::collections::BTreeSet;
 
 /// Memory: absences known (`ab_R`), facts already broadcast (`sf_R`),
 /// absences already broadcast (`sb_R`).
@@ -42,6 +39,41 @@ pub struct DistinctStrategy {
     query: Box<dyn Query>,
     schema: TransducerSchema,
     name: String,
+    rels: Vec<Rels>,
+}
+
+/// An input relation `R` and the relations derived from it, named once
+/// at construction.
+struct Rels {
+    rel: RelName,
+    arity: usize,
+    /// `m_R`
+    msg: RelName,
+    /// `n_R`
+    absence: RelName,
+    /// `c_R`
+    coll: RelName,
+    /// `ab_R`
+    known_absence: RelName,
+    /// `sf_R`
+    sent_fact: RelName,
+    /// `sb_R`
+    sent_absence: RelName,
+    /// `policy_R`
+    policy: RelName,
+}
+
+impl Rels {
+    /// Record `R(t)` as absent: remember it, and broadcast it once.
+    fn absent(&self, d: &Instance, t: &[Value], step: &mut TransducerStep) {
+        if !d.contains_tuple(&self.known_absence, t) {
+            step.ins.insert_tuple(&self.known_absence, t.to_vec());
+        }
+        if !d.contains_tuple(&self.sent_absence, t) {
+            step.snd.insert_tuple(&self.absence, t.to_vec());
+            step.ins.insert_tuple(&self.sent_absence, t.to_vec());
+        }
+    }
 }
 
 impl DistinctStrategy {
@@ -61,10 +93,25 @@ impl DistinctStrategy {
         }
         let output = renamed_output_schema(query.as_ref());
         let name = format!("distinct-strategy({})", query.name());
+        let rels = input
+            .iter()
+            .map(|(r, arity)| Rels {
+                rel: r.clone(),
+                arity,
+                msg: rel(msg_rel(r)),
+                absence: rel(absence_rel(r)),
+                coll: rel(coll_rel(r)),
+                known_absence: rel(known_absence_rel(r)),
+                sent_fact: rel(sent_fact_rel(r)),
+                sent_absence: rel(sent_absence_rel(r)),
+                policy: rel(policy_relation(r)),
+            })
+            .collect();
         DistinctStrategy {
             schema: TransducerSchema::new(input, output, msg, mem),
             query,
             name,
+            rels,
         }
     }
 
@@ -81,62 +128,68 @@ impl Transducer for DistinctStrategy {
 
     fn step(&self, d: &Instance) -> TransducerStep {
         let mut step = TransducerStep::default();
-        let input_schema = self.query.input_schema();
-        let collected = collected_input(input_schema, d);
+        let collected = collected_input(self.query.input_schema(), d);
 
-        // Known values (the paper's MyAdom, supplied by the simulator).
+        // Known values (the paper's MyAdom, supplied by the simulator),
+        // sorted; `poisoned[i]` marks `myadom[i]` as touched by an
+        // undetermined tuple.
         let myadom: Vec<Value> = d.tuples("MyAdom").map(|t| t[0].clone()).collect();
+        let mut poisoned = vec![false; myadom.len()];
 
-        // Per relation: absences = remembered ∪ delivered ∪ freshly
-        // deduced from the policy relations.
-        let mut undetermined_values: BTreeSet<Value> = BTreeSet::new();
-        for (r, arity) in input_schema.iter() {
-            let pol = policy_relation(r);
-            let mut absences: BTreeSet<Vec<Value>> = d
-                .tuples(&known_absence_rel(r))
-                .cloned()
-                .chain(d.tuples(&absence_rel(r)).cloned())
-                .collect();
-            // Deduce: responsible for R(ā) but R(ā) not locally given.
-            for tuple in tuples_over(&myadom, arity) {
-                if d.contains_tuple(&pol, &tuple) && !d.contains_tuple(r, &tuple) {
-                    absences.insert(tuple);
-                }
+        for n in &self.rels {
+            // Absences = remembered ∪ delivered ∪ freshly deduced from
+            // the policy relations; persist and broadcast each.
+            for t in d.tuples(&n.known_absence).chain(d.tuples(&n.absence)) {
+                n.absent(d, t, &mut step);
             }
-            // Persist and broadcast.
-            for t in &absences {
-                step.ins.insert(Fact::new(known_absence_rel(r), t.clone()));
-                if !d.contains_tuple(&sent_absence_rel(r), t) {
-                    step.snd.insert(Fact::new(absence_rel(r), t.clone()));
-                    step.ins.insert(Fact::new(sent_absence_rel(r), t.clone()));
+            let columns = vec![myadom.as_slice(); n.arity];
+            for_each_tuple(&columns, |t| {
+                // Deduce: responsible for R(ā) but R(ā) not locally given.
+                let deduced = d.contains_tuple(&n.policy, t) && !d.contains_tuple(&n.rel, t);
+                if deduced {
+                    n.absent(d, t, &mut step);
                 }
-            }
-            for t in collected.tuples(r) {
-                step.ins.insert(Fact::new(coll_rel(r), t.clone()));
-                if !d.contains_tuple(&sent_fact_rel(r), t) {
-                    step.snd.insert(Fact::new(msg_rel(r), t.clone()));
-                    step.ins.insert(Fact::new(sent_fact_rel(r), t.clone()));
-                }
-            }
-            // Undetermined tuples poison their values.
-            for tuple in tuples_over(&myadom, arity) {
-                let determined = collected.contains_tuple(r, &tuple) || absences.contains(&tuple);
+                // Undetermined tuples poison their values.
+                let determined = deduced
+                    || collected.contains_tuple(&n.rel, t)
+                    || d.contains_tuple(&n.known_absence, t)
+                    || d.contains_tuple(&n.absence, t);
                 if !determined {
-                    undetermined_values.extend(tuple.iter().cloned());
+                    for v in t {
+                        if let Ok(i) = myadom.binary_search(v) {
+                            poisoned[i] = true;
+                        }
+                    }
+                }
+            });
+            for t in collected.tuples(&n.rel) {
+                if !d.contains_tuple(&n.coll, t) {
+                    step.ins.insert_tuple(&n.coll, t.clone());
+                }
+                if !d.contains_tuple(&n.sent_fact, t) {
+                    step.snd.insert_tuple(&n.msg, t.clone());
+                    step.ins.insert_tuple(&n.sent_fact, t.clone());
                 }
             }
         }
 
-        // The maximal "clean" complete subset: values untouched by any
-        // undetermined tuple. Every tuple over C is determined.
-        let complete: BTreeSet<Value> = myadom
-            .iter()
-            .filter(|v| !undetermined_values.contains(v))
-            .cloned()
-            .collect();
-        let mut restricted = collected.clone();
-        restricted.retain(|_, tuple| tuple.iter().all(|v| complete.contains(v)));
-        step.out = rename_to_out(&self.query.eval(&restricted));
+        // The maximal "clean" complete subset C: known values untouched
+        // by any undetermined tuple. Every tuple over C is determined.
+        let complete = |t: &Vec<Value>| {
+            t.iter()
+                .all(|v| myadom.binary_search(v).is_ok_and(|i| !poisoned[i]))
+        };
+        let all_complete = collected
+            .relation_names()
+            .all(|r| collected.tuples(r).all(complete));
+        let answer = if all_complete {
+            self.query.eval(&collected)
+        } else {
+            let mut restricted = collected.clone();
+            restricted.retain(|_, t| complete(t));
+            self.query.eval(&restricted)
+        };
+        step.out = new_output(&answer, d);
         step
     }
 

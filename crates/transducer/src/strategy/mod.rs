@@ -12,6 +12,11 @@
 //! evaluates; none of them reads the `All` relation, which is why the same
 //! transducers witness `Mdistinct ⊆ A1` and `Mdisjoint ⊆ A2`
 //! (Theorem 4.5).
+//!
+//! A step emits only the memory and output facts `D` does not hold yet.
+//! No strategy deletes, and the node state is part of `D`, so the state
+//! after the step is the same as with the full answers, while the step
+//! allocates for its delta only.
 
 mod disjoint;
 mod distinct;
@@ -22,8 +27,8 @@ pub use distinct::DistinctStrategy;
 pub use monotone::MonotoneBroadcast;
 
 use crate::multiset::Multiset;
-use calm_common::fact::Fact;
-use calm_common::instance::Instance;
+use calm_common::fact::{rel, Fact};
+use calm_common::instance::{Instance, Tuple};
 use calm_common::query::Query;
 use calm_common::schema::Schema;
 
@@ -224,11 +229,29 @@ pub fn expected_output(q: &dyn Query, input: &Instance) -> Instance {
 
 /// Rename every relation `R` of a query answer to `out_R`.
 pub fn rename_to_out(answer: &Instance) -> Instance {
-    Instance::from_facts(
-        answer
-            .facts()
-            .map(|f| Fact::new(out_rel(f.relation()), f.args().to_vec())),
-    )
+    renamed_output(answer, None)
+}
+
+/// The facts of [`rename_to_out`]`(answer)` that `d` does not hold yet.
+/// Output is cumulative and the node state is part of `D`, so a step
+/// that emits only these leaves the state exactly as emitting all of
+/// them would.
+pub(crate) fn new_output(answer: &Instance, d: &Instance) -> Instance {
+    renamed_output(answer, Some(d))
+}
+
+fn renamed_output(answer: &Instance, known: Option<&Instance>) -> Instance {
+    let mut out = Instance::new();
+    for r in answer.relation_names() {
+        let name = rel(out_rel(r));
+        let tuples: Vec<Tuple> = answer
+            .tuples(r)
+            .filter(|t| !known.is_some_and(|d| d.contains_tuple(&name, t)))
+            .cloned()
+            .collect();
+        out.extend_relation(&name, tuples);
+    }
+    out
 }
 
 /// Gather the "collected input" visible in `D`: for each input relation
@@ -238,15 +261,13 @@ pub fn rename_to_out(answer: &Instance) -> Instance {
 pub fn collected_input(input_schema: &Schema, d: &Instance) -> Instance {
     let mut out = Instance::new();
     for (r, _) in input_schema.iter() {
-        for t in d.tuples(r) {
-            out.insert(Fact::new(r.as_ref(), t.clone()));
-        }
-        for t in d.tuples(&coll_rel(r)) {
-            out.insert(Fact::new(r.as_ref(), t.clone()));
-        }
-        for t in d.tuples(&msg_rel(r)) {
-            out.insert(Fact::new(r.as_ref(), t.clone()));
-        }
+        let tuples: Vec<Tuple> = d
+            .tuples(r)
+            .chain(d.tuples(&coll_rel(r)))
+            .chain(d.tuples(&msg_rel(r)))
+            .cloned()
+            .collect();
+        out.extend_relation(r, tuples);
     }
     out
 }

@@ -3,10 +3,10 @@
 //! newly received fact, with no waiting at all. Correct exactly for
 //! monotone queries.
 
-use super::{coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema};
+use super::{coll_rel, collected_input, msg_rel, new_output, renamed_output_schema};
 use crate::schema::TransducerSchema;
 use crate::transducer::{Transducer, TransducerStep};
-use calm_common::fact::Fact;
+use calm_common::fact::{rel, RelName};
 use calm_common::instance::Instance;
 use calm_common::query::Query;
 use calm_common::schema::Schema;
@@ -16,6 +16,19 @@ pub struct MonotoneBroadcast {
     query: Box<dyn Query>,
     schema: TransducerSchema,
     name: String,
+    rels: Vec<Rels>,
+}
+
+/// An input relation `R` and the relations derived from it, named once
+/// at construction.
+struct Rels {
+    rel: RelName,
+    /// `m_R`
+    msg: RelName,
+    /// `c_R`
+    coll: RelName,
+    /// `s_R`
+    sent: RelName,
 }
 
 /// Memory relation marking facts already broadcast.
@@ -38,10 +51,20 @@ impl MonotoneBroadcast {
         }
         let output = renamed_output_schema(query.as_ref());
         let name = format!("monotone-broadcast({})", query.name());
+        let rels = input
+            .iter()
+            .map(|(r, _)| Rels {
+                rel: r.clone(),
+                msg: rel(msg_rel(r)),
+                coll: rel(coll_rel(r)),
+                sent: rel(sent_rel(r)),
+            })
+            .collect();
         MonotoneBroadcast {
             schema: TransducerSchema::new(input, output, msg, mem),
             query,
             name,
+            rels,
         }
     }
 
@@ -59,22 +82,22 @@ impl Transducer for MonotoneBroadcast {
     fn step(&self, d: &Instance) -> TransducerStep {
         let mut step = TransducerStep::default();
         let collected = collected_input(self.query.input_schema(), d);
-        for f in collected.facts() {
-            let r = f.relation().as_ref().to_string();
-            // Remember everything we know.
-            step.ins.insert(Fact::new(coll_rel(&r), f.args().to_vec()));
-            // Broadcast what we have not broadcast yet.
-            if !d.contains_tuple(&sent_rel(&r), f.args()) {
-                step.snd.insert(Fact::new(msg_rel(&r), f.args().to_vec()));
-                step.ins.insert(Fact::new(sent_rel(&r), f.args().to_vec()));
+        for n in &self.rels {
+            for t in collected.tuples(&n.rel) {
+                // Remember everything we know.
+                if !d.contains_tuple(&n.coll, t) {
+                    step.ins.insert_tuple(&n.coll, t.clone());
+                }
+                // Broadcast what we have not broadcast yet.
+                if !d.contains_tuple(&n.sent, t) {
+                    step.snd.insert_tuple(&n.msg, t.clone());
+                    step.ins.insert_tuple(&n.sent, t.clone());
+                }
             }
         }
         // Output Q over everything currently known — monotonicity makes
         // every such fact final.
-        step.out = rename_to_out(&self.query.eval(&collected));
-        for f in step.out.clone().facts() {
-            debug_assert!(self.schema.output.covers(&f));
-        }
+        step.out = new_output(&self.query.eval(&collected), d);
         step
     }
 

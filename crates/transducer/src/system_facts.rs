@@ -9,11 +9,17 @@
 //!
 //! Restricting `policy_R` to tuples over `A` is the paper's safety
 //! restriction: a node only sees the policy over values it already knows.
+//!
+//! `S` is a pure function of `(x, N, Υin, P, config, A)`, and of these
+//! only `A` changes between two transitions of a node. [`SystemFacts`]
+//! keeps `S` with the `A` it was built from and reuses it while `A` is
+//! unchanged; any other `A` rebuilds it from scratch. [`system_facts`]
+//! is the case with no cached `A`.
 
 use crate::network::{Network, NodeId};
 use crate::policy::DistributionPolicy;
 use crate::schema::{policy_relation, SystemConfig};
-use calm_common::fact::Fact;
+use calm_common::fact::{rel, Fact};
 use calm_common::instance::Instance;
 use calm_common::schema::Schema;
 use calm_common::value::Value;
@@ -33,63 +39,138 @@ pub fn system_facts(
     config: SystemConfig,
     visible: &Instance,
 ) -> Instance {
-    let mut s = Instance::new();
-    if config.include_id {
-        s.insert(Fact::new("Id", vec![x.clone()]));
-    }
-    if config.include_all {
-        for y in network.nodes() {
-            s.insert(Fact::new("All", vec![y.clone()]));
-        }
-    }
-    // The known-value set A.
-    let mut a: BTreeSet<Value> = visible.adom();
-    if config.include_all {
-        a.extend(network.nodes().cloned());
-    } else {
-        a.insert(x.clone());
-    }
-    if config.policy_relations {
-        for val in &a {
-            s.insert(Fact::new("MyAdom", vec![val.clone()]));
-        }
-        let a_vec: Vec<Value> = a.iter().cloned().collect();
-        for (rel, arity) in input_schema.iter() {
-            assert!(
-                arity <= 4,
-                "policy relation enumeration capped at arity 4 (got {arity} for {rel})"
-            );
-            let pname = policy_relation(rel);
-            for tuple in tuples_over(&a_vec, arity) {
-                let candidate = Fact::new(rel.as_ref(), tuple.clone());
-                if policy.assign(&candidate).contains(x) {
-                    s.insert(Fact::new(&pname, tuple));
-                }
-            }
-        }
-    }
-    s
+    let mut cache = SystemFacts::default();
+    cache.refresh(x, network, input_schema, policy, config, visible);
+    cache.facts.unwrap_or_default()
 }
 
-/// All tuples of the given arity over a value slice (odometer order).
-pub fn tuples_over(values: &[Value], arity: usize) -> Vec<Vec<Value>> {
-    if values.is_empty() {
-        return Vec::new();
+/// One node's system facts `S`, kept with the known-value set `A` they
+/// were enumerated over.
+///
+/// Every [`SystemFacts::refresh`] of one cache must pass the same node,
+/// network, input schema, policy and configuration: the cache is keyed
+/// by `A` alone. Reuse is exact because `S` depends on nothing else, so
+/// a state restored from a snapshot or a node adopted mid-run (both
+/// change `J`, not the node) cannot make it stale.
+#[derive(Debug, Clone, Default)]
+pub struct SystemFacts {
+    /// `A`, sorted. Empty when the configuration exposes no `MyAdom`
+    /// and `policy_R` (then `S` does not depend on `A`).
+    known: Vec<Value>,
+    /// `S` over `known`; `None` before the first refresh.
+    facts: Option<Instance>,
+}
+
+impl SystemFacts {
+    /// Bring `S` up to date for node `x` seeing `visible` (`J`) and
+    /// return it: the cached `S` while `A` is unchanged, otherwise `S`
+    /// enumerated from scratch.
+    pub fn refresh(
+        &mut self,
+        x: &NodeId,
+        network: &Network,
+        input_schema: &Schema,
+        policy: &dyn DistributionPolicy,
+        config: SystemConfig,
+        visible: &Instance,
+    ) -> &Instance {
+        if self.facts.is_none() || !self.holds(x, network, config, visible) {
+            let mut s = Instance::new();
+            if config.include_id {
+                s.insert(Fact::new("Id", vec![x.clone()]));
+            }
+            if config.include_all {
+                for y in network.nodes() {
+                    s.insert(Fact::new("All", vec![y.clone()]));
+                }
+            }
+            self.known.clear();
+            if config.policy_relations {
+                // The known-value set A.
+                let mut a: BTreeSet<Value> = visible.adom();
+                if config.include_all {
+                    a.extend(network.nodes().cloned());
+                } else {
+                    a.insert(x.clone());
+                }
+                self.known.extend(a);
+                let my_adom = rel("MyAdom");
+                for v in &self.known {
+                    s.insert_tuple(&my_adom, vec![v.clone()]);
+                }
+                for (r, arity) in input_schema.iter() {
+                    assert!(
+                        arity <= 4,
+                        "policy relation enumeration capped at arity 4 (got {arity} for {r})"
+                    );
+                    let pname = rel(policy_relation(r));
+                    for_each_tuple(&vec![self.known.as_slice(); arity], |tuple| {
+                        let candidate = Fact::from_rel(r.clone(), tuple.to_vec());
+                        if policy.assign(&candidate).contains(x) {
+                            s.insert_tuple(&pname, candidate.into_parts().1);
+                        }
+                    });
+                }
+            }
+            self.facts = Some(s);
+        }
+        self.facts.as_ref().expect("S is built above")
     }
-    let mut out = Vec::with_capacity(values.len().pow(arity as u32));
-    let mut idx = vec![0usize; arity];
+
+    /// Whether `A` for `visible` is exactly `self.known`, checked
+    /// without building it: every value of `J` (and of `N`, or `x`) is
+    /// known, and every known value occurs.
+    fn holds(
+        &self,
+        x: &NodeId,
+        network: &Network,
+        config: SystemConfig,
+        visible: &Instance,
+    ) -> bool {
+        if !config.policy_relations {
+            return true;
+        }
+        let mut seen = vec![false; self.known.len()];
+        let mut all_known = true;
+        let mut note = |v: &Value| match self.known.binary_search(v) {
+            Ok(i) => seen[i] = true,
+            Err(_) => all_known = false,
+        };
+        for r in visible.relation_names() {
+            visible.tuples(r).flatten().for_each(&mut note);
+        }
+        if config.include_all {
+            network.nodes().for_each(&mut note);
+        } else {
+            note(x);
+        }
+        all_known && !seen.contains(&false)
+    }
+}
+
+/// Call `f` on every tuple whose `j`-th value is drawn from
+/// `columns[j]`, in odometer order (position 0 fastest), through one
+/// reused buffer. Visits nothing when a column is empty.
+pub(crate) fn for_each_tuple(columns: &[&[Value]], mut f: impl FnMut(&[Value])) {
+    if columns.iter().any(|c| c.is_empty()) {
+        return;
+    }
+    let mut idx = vec![0usize; columns.len()];
+    let mut tuple: Vec<Value> = columns.iter().map(|c| c[0].clone()).collect();
     loop {
-        out.push(idx.iter().map(|&i| values[i].clone()).collect());
+        f(&tuple);
         let mut pos = 0;
         loop {
-            if pos == arity {
-                return out;
+            if pos == columns.len() {
+                return;
             }
             idx[pos] += 1;
-            if idx[pos] < values.len() {
+            if idx[pos] < columns[pos].len() {
+                tuple[pos] = columns[pos][idx[pos]].clone();
                 break;
             }
             idx[pos] = 0;
+            tuple[pos] = columns[pos][0].clone();
             pos += 1;
         }
     }
@@ -192,11 +273,21 @@ mod tests {
     }
 
     #[test]
-    fn tuples_over_counts() {
+    fn for_each_tuple_counts() {
         let vals = vec![Value::Int(1), Value::Int(2), Value::Int(3)];
-        assert_eq!(tuples_over(&vals, 1).len(), 3);
-        assert_eq!(tuples_over(&vals, 2).len(), 9);
-        assert_eq!(tuples_over(&[], 2).len(), 0);
+        let count = |columns: &[&[Value]]| {
+            let mut n = 0;
+            for_each_tuple(columns, |_| n += 1);
+            n
+        };
+        assert_eq!(count(&[&vals]), 3);
+        assert_eq!(count(&[&vals, &vals]), 9);
+        assert_eq!(count(&[&vals, &vals[..1]]), 3);
+        assert_eq!(count(&[&vals, &[]]), 0);
+        let mut seen = Vec::new();
+        for_each_tuple(&[&vals[..2], &vals[1..]], |t| seen.push(t.to_vec()));
+        assert_eq!(seen.len(), 4);
+        assert_eq!(seen[1], vec![Value::Int(2), Value::Int(2)]);
     }
 
     #[test]
